@@ -36,10 +36,13 @@ bench:
 	@echo "wrote BENCH_vm_v2.json (three-tier VM engine baseline; diff against the committed copy)"
 
 # Cheap benchmark smoke for CI: one iteration of the VM engine
-# benchmarks under all three engines, so a broken bench harness fails
-# verify rather than the next baseline refresh.
+# benchmarks under all three engines and of the observed device
+# benchmarks (whole RunWith enqueues with the cache models attached),
+# so a broken bench harness fails verify rather than the next baseline
+# refresh.
 bench-smoke:
 	$(GO) test -run xxx -bench BenchmarkEngine -benchtime 1x ./internal/vm >/dev/null
+	$(GO) test -run xxx -bench BenchmarkRunWith -benchtime 1x ./internal/cpu ./internal/mali >/dev/null
 
 # Static checks: Go hygiene, the repository self-lint (no unexplained
 # map iteration or time.Now in deterministic paths — cmd/repolint),

@@ -44,11 +44,15 @@
 // across a pool of host CPUs (default runtime.NumCPU()): each worker
 // runs groups against the shared unified-memory arena while recording
 // its memory accesses into a trace, and the traces are replayed in
-// dispatch order into the stateful cache/DRAM model. Simulated timing,
-// power and energy are therefore bit-identical at every worker count —
-// only the simulator's own wall-clock changes. WithWorkers(1) forces
-// the serial engine; Queue.FinishCtx and EnqueueNDRangeKernelCtx
-// accept a context.Context for cancellation.
+// dispatch order into the stateful cache/DRAM model. Only traffic that
+// reaches shared state is traced: a lone work-group runs live into the
+// model with no trace at all, and when a CPU launch has no more groups
+// than cores each worker drives its core's private L1 live and traces
+// only the misses, so the replay sees just shared-L2 traffic.
+// Simulated timing, power and energy are therefore bit-identical at
+// every worker count — only the simulator's own wall-clock changes.
+// WithWorkers(1) forces the serial engine; Queue.FinishCtx and
+// EnqueueNDRangeKernelCtx accept a context.Context for cancellation.
 //
 // # Execution engines: a three-tier contract
 //

@@ -1,6 +1,8 @@
 package dataflow
 
 import (
+	"maps"
+
 	"maligo/internal/clc/builtin"
 	"maligo/internal/clc/ir"
 	"maligo/internal/clc/types"
@@ -35,20 +37,12 @@ func newEnv() *env {
 }
 
 func (e *env) clone() *env {
-	c := newEnv()
-	for k, v := range e.iv { // maligo:allow maporder distinct keys fill the clone
-		c.iv[k] = v
+	return &env{
+		iv:  maps.Clone(e.iv),
+		af:  maps.Clone(e.af),
+		dvI: maps.Clone(e.dvI),
+		dvF: maps.Clone(e.dvF),
 	}
-	for k, v := range e.af { // maligo:allow maporder distinct keys fill the clone
-		c.af[k] = v
-	}
-	for k := range e.dvI { // maligo:allow maporder distinct keys fill the clone
-		c.dvI[k] = true
-	}
-	for k := range e.dvF { // maligo:allow maporder distinct keys fill the clone
-		c.dvF[k] = true
-	}
-	return c
 }
 
 func (e *env) interval(slot int32) Interval {

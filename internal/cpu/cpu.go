@@ -105,14 +105,23 @@ func (c *CPU) DefaultLocalSize(ndr *device.NDRange) [3]int {
 	return [3]int{1, 1, 1}
 }
 
-// observer drives the two-level cache hierarchy for one core. It also
-// classifies DRAM misses as sequential (prefetchable by the A15's L2
-// stream prefetchers) or random, by checking each missed line against
-// a small window of recently missed lines.
+// observer is one core's private half of the two-level hierarchy:
+// the core's L1. Accesses that miss it go on to next — the core's
+// refill half, or, on a pool worker, a trace of the L1 misses that the
+// ordered consumer replays into the refill half later.
 type observer struct {
-	l1        *mem.Cache
+	l1       *mem.Cache
+	l1Misses uint64
+	next     vm.AccessObserver
+}
+
+// refill is one core's shared half: L1 misses refill through the
+// shared L2, and the lines that miss there too are classified as
+// sequential (prefetchable by the A15's L2 stream prefetchers) or
+// random, by checking each against a small window of recently missed
+// lines.
+type refill struct {
 	l2        *mem.Cache
-	l1Misses  uint64
 	l2SeqMiss uint64
 	l2RndMiss uint64
 	dramBytes uint64
@@ -138,44 +147,52 @@ func physical(space int, addr int64) uint64 {
 
 // OnAccess implements vm.AccessObserver.
 func (o *observer) OnAccess(space int, addr int64, size int, write bool) {
-	phys := physical(space, addr)
-	misses, _ := o.l1.Access(phys, size, write)
+	misses, _ := o.l1.Access(physical(space, addr), size, write)
 	if misses == 0 {
 		return
 	}
 	o.l1Misses += uint64(misses)
-	// Refill each missing line through the L2.
-	l2m, l2wb := o.l2.Access(phys, size, write)
-	o.dramBytes += uint64(l2m+l2wb) * o.lineBytes
-	if l2m == 0 {
-		return
-	}
-	line := phys / o.lineBytes
-	seq := false
-	for _, r := range o.recent {
-		if line == r+1 || line == r+2 {
-			seq = true
-			break
-		}
-	}
-	if seq {
-		o.l2SeqMiss += uint64(l2m)
-	} else {
-		o.l2RndMiss += uint64(l2m)
-	}
-	o.recent[o.rpos] = line
-	o.rpos = (o.rpos + 1) % len(o.recent)
+	o.next.OnAccess(space, addr, size, write)
 }
 
 // OnAtomic implements vm.AccessObserver; CPU atomics (LDREX/STREX) are
 // priced in threadSeconds via the profile's Atomics counter.
 func (o *observer) OnAtomic(space int, addr int64, size int) {}
 
+// OnAccess implements vm.AccessObserver for an access that missed the
+// core's L1: it refills each missing line through the L2.
+func (r *refill) OnAccess(space int, addr int64, size int, write bool) {
+	phys := physical(space, addr)
+	l2m, l2wb := r.l2.Access(phys, size, write)
+	r.dramBytes += uint64(l2m+l2wb) * r.lineBytes
+	if l2m == 0 {
+		return
+	}
+	line := phys / r.lineBytes
+	seq := false
+	for _, rl := range r.recent {
+		if line == rl+1 || line == rl+2 {
+			seq = true
+			break
+		}
+	}
+	if seq {
+		r.l2SeqMiss += uint64(l2m)
+	} else {
+		r.l2RndMiss += uint64(l2m)
+	}
+	r.recent[r.rpos] = line
+	r.rpos = (r.rpos + 1) % len(r.recent)
+}
+
+// OnAtomic implements vm.AccessObserver; atomics never reach refill.
+func (r *refill) OnAtomic(space int, addr int64, size int) {}
+
 // threadSeconds prices one thread's execution from its profile. The
 // simulator IR is unoptimized three-address code, so instruction and
 // integer-lane counts are derated by the model's InstrFactor to
 // approximate GCC -O3 output (addressing modes, fused compares).
-func (c *CPU) threadSeconds(p *vm.Profile, o *observer) (seconds, util float64) {
+func (c *CPU) threadSeconds(p *vm.Profile, o *observer, r *refill) (seconds, util float64) {
 	m := c.m
 	issue := float64(p.Instrs) * m.InstrFactor / m.IssueWidth
 	intc := float64(p.IntLanes) * m.InstrFactor / m.IntALUs
@@ -190,11 +207,11 @@ func (c *CPU) threadSeconds(p *vm.Profile, o *observer) (seconds, util float64) 
 		}
 	}
 	stalls := float64(o.l1Misses)*m.L2HitLatency*m.L2HideFactor +
-		float64(o.l2RndMiss)*m.DRAMLatency*m.DRAMHideFactor +
-		float64(o.l2SeqMiss)*m.DRAMLatency*m.PrefetchHideFactor
+		float64(r.l2RndMiss)*m.DRAMLatency*m.DRAMHideFactor +
+		float64(r.l2SeqMiss)*m.DRAMLatency*m.PrefetchHideFactor
 	cycles := busy + stalls
 	seconds = cycles / m.FreqHz
-	if bw := float64(o.dramBytes) / m.PerCoreBandwidth; bw > seconds {
+	if bw := float64(r.dramBytes) / m.PerCoreBandwidth; bw > seconds {
 		seconds = bw
 	}
 	if cycles > 0 {
@@ -212,9 +229,12 @@ func (c *CPU) Run(ndr *device.NDRange, gmem vm.GlobalMemory) (*device.Report, er
 // round-robin over the modelled cores (OpenMP static scheduling of
 // chunked loops — each chunk is one work-item in the CPU versions of
 // the benchmarks). With a pool in rc, groups execute functionally in
-// parallel on the host while their memory traces are replayed through
-// the per-core cache hierarchies in dispatch order, keeping the report
-// bit-identical to serial execution.
+// parallel on the host and their accesses are replayed through the
+// shared L2 in dispatch order, keeping the report bit-identical to
+// serial execution. When no core runs two groups — every Serial and
+// OpenMP launch of the paper's benchmarks — each worker drives its
+// core's private L1 live and traces only the L1 misses, so the replay
+// sees nothing but shared-L2 traffic.
 func (c *CPU) RunWith(rc device.RunConfig, ndr *device.NDRange, gmem vm.GlobalMemory) (*device.Report, error) {
 	device.NormalizeLocal(c, ndr)
 	if err := device.ValidateNDRange(c, ndr); err != nil {
@@ -223,52 +243,38 @@ func (c *CPU) RunWith(rc device.RunConfig, ndr *device.NDRange, gmem vm.GlobalMe
 
 	profiles := make([]vm.Profile, c.cores)
 	observers := make([]*observer, c.cores)
+	refills := make([]*refill, c.cores)
 	for i := 0; i < c.cores; i++ {
-		observers[i] = &observer{
-			l1:        c.l1[i],
-			l2:        c.l2,
-			lineBytes: uint64(c.m.L2Line),
-		}
+		refills[i] = &refill{l2: c.l2, lineBytes: uint64(c.m.L2Line)}
+		observers[i] = &observer{l1: c.l1[i], next: refills[i]}
 	}
 
-	var err error
-	if rc.Parallel() {
-		err = device.RunGroups(rc, ndr, gmem, func(gw *device.GroupWork) error {
-			core := gw.Index % c.cores
-			gw.Trace.Replay(observers[core])
-			gw.Trace.Release()
-			profiles[core].Add(&gw.Profile)
-			return nil
-		})
-	} else {
-		err = device.SerialGroups(rc, ndr, func(wgIndex int, group [3]int) error {
-			core := wgIndex % c.cores
-			cfg := &vm.GroupConfig{
-				Kernel:       ndr.Kernel,
-				WorkDim:      ndr.WorkDim,
-				GroupID:      group,
-				LocalSize:    ndr.Local,
-				GlobalSize:   ndr.Global,
-				GlobalOffset: ndr.Offset,
-				Args:         ndr.Args,
-				Mem:          gmem,
-				Observer:     observers[core],
-				Engine:       rc.Engine,
-			}
-			var detail *vm.Trace
-			if rc.Race != nil {
-				detail = vm.NewTrace()
-				detail.EnableDetail()
-				cfg.Observer = vm.Tee(observers[core], detail)
-			}
-			err := vm.RunGroup(cfg, &profiles[core])
-			if err == nil && detail != nil {
-				rc.Race.ObserveGroup(group, detail)
-			}
-			detail.Release()
-			return err
-		})
+	live := func(wgIndex int, group [3]int) error {
+		core := wgIndex % c.cores
+		return device.RunLive(rc, ndr, gmem, group, observers[core], &profiles[core])
 	}
+	// With no more groups than cores, group i is the only group core
+	// i's L1 sees, so the worker running it owns that L1 (and its miss
+	// counter) outright: it drives the L1 live and traces only the
+	// misses. Race mode keeps the full detail trace.
+	var record func(int, *vm.Trace) vm.AccessObserver
+	if rc.Race == nil && ndr.NumGroups() <= c.cores {
+		record = func(wgIndex int, tr *vm.Trace) vm.AccessObserver {
+			observers[wgIndex].next = tr
+			return observers[wgIndex]
+		}
+	}
+	err := device.RunGroups(rc, ndr, gmem, live, record, func(gw *device.GroupWork) error {
+		core := gw.Index % c.cores
+		if record != nil {
+			gw.Trace.Replay(refills[core])
+		} else {
+			gw.Trace.Replay(observers[core])
+		}
+		gw.Trace.Release()
+		profiles[core].Add(&gw.Profile)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -279,7 +285,7 @@ func (c *CPU) RunWith(rc device.RunConfig, ndr *device.NDRange, gmem vm.GlobalMe
 	active := 0
 	for i := 0; i < c.cores; i++ {
 		total.Add(&profiles[i])
-		sec, util := c.threadSeconds(&profiles[i], observers[i])
+		sec, util := c.threadSeconds(&profiles[i], observers[i], refills[i])
 		if sec > 0 {
 			active++
 			busySec += sec
@@ -288,7 +294,7 @@ func (c *CPU) RunWith(rc device.RunConfig, ndr *device.NDRange, gmem vm.GlobalMe
 		if sec > maxSec {
 			maxSec = sec
 		}
-		dramBytes += observers[i].dramBytes
+		dramBytes += refills[i].dramBytes
 	}
 	seconds := maxSec
 	if bw := float64(dramBytes) / c.m.ClusterBandwidth; bw > seconds {

@@ -45,6 +45,16 @@ func (n *NDRange) TotalWorkItems() int {
 	return total
 }
 
+// NumGroups returns the number of work-groups of a normalized NDRange
+// (ValidateNDRange has ruled out overflow).
+func (n *NDRange) NumGroups() int {
+	groups := 1
+	for d := 0; d < n.WorkDim; d++ {
+		groups *= n.Global[d] / n.Local[d]
+	}
+	return groups
+}
+
 // Report is the timing/activity outcome of one enqueue.
 type Report struct {
 	// Seconds is the wall-clock duration of the enqueue on the device,

@@ -158,7 +158,8 @@ type GroupWork struct {
 	Group [3]int
 	// Profile holds the group's instruction counts.
 	Profile vm.Profile
-	// Trace is the group's memory-event stream in program order. The
+	// Trace is the group's memory-event stream in program order: every
+	// access, or only those RunGroups' record observer passed on. The
 	// consumer should Release it after replaying.
 	Trace *vm.Trace
 }
@@ -171,12 +172,34 @@ type groupResult struct {
 	err   error
 }
 
-// RunGroups executes every work-group of the NDRange on the pool,
-// recording each group's memory trace, and invokes consume for each
-// group strictly in dispatch (row-major) order. Consume runs on the
-// calling goroutine, so a stateful cost model (shared cache, miss
-// classifier) sees the exact access stream serial execution would have
-// produced — that is what keeps parallel reports bit-identical.
+// RunGroups executes every work-group of the NDRange and is the one
+// entry point both device models use. The device supplies two views of
+// the same per-group work:
+//
+//   - live runs one group straight into the device's stateful model
+//     (caches, miss classifier, core scheduler) on the calling
+//     goroutine;
+//   - consume prices one group a pool worker executed, from its
+//     profile and recorded trace.
+//
+// Without a parallel pool, or when the NDRange has a single work-group
+// (a replay would then be a purely serial tail), every group runs live
+// in dispatch order, with rc's context checked between groups: no
+// trace is recorded and nothing is replayed.
+//
+// Otherwise the groups execute concurrently on the pool, each against
+// its own trace, and consume runs for each group strictly in dispatch
+// (row-major) order on the calling goroutine, so a stateful cost model
+// sees the exact access stream serial execution would have produced —
+// that is what keeps parallel reports bit-identical.
+//
+// record, when non-nil, returns the observer a worker runs group index
+// against in place of the bare trace tr. A device whose groups each
+// own some private state (a CPU core's L1 when no core runs two
+// groups) applies that state there, live, and passes on to tr only
+// the accesses that reach shared state. With a nil record every access
+// is traced; race mode needs that full detail trace, so devices pass
+// nil there.
 //
 // Functional memory effects (stores, atomics) hit mem during the
 // concurrent phase in nondeterministic group order; this is sound for
@@ -184,7 +207,23 @@ type groupResult struct {
 // via commutative atomics. The first error, in dispatch order, is
 // returned — matching the serial engine's "stop at first failing
 // group" semantics.
-func RunGroups(rc RunConfig, ndr *NDRange, gmem vm.GlobalMemory, consume func(*GroupWork) error) error {
+func RunGroups(rc RunConfig, ndr *NDRange, gmem vm.GlobalMemory,
+	live func(index int, group [3]int) error,
+	record func(index int, tr *vm.Trace) vm.AccessObserver,
+	consume func(*GroupWork) error) error {
+	if !rc.Parallel() || ndr.NumGroups() == 1 {
+		ctx := rc.Context()
+		idx := 0
+		return ForEachGroup(ndr, func(group [3]int) error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			err := live(idx, group)
+			idx++
+			return err
+		})
+	}
+
 	ctx, cancel := context.WithCancel(rc.Context())
 	defer cancel()
 	pool := rc.Pool
@@ -216,24 +255,16 @@ func RunGroups(rc RunConfig, ndr *NDRange, gmem vm.GlobalMemory, consume func(*G
 					res.err = err
 				} else {
 					tr := vm.NewTrace()
+					var obs vm.AccessObserver = tr
 					if rc.Race != nil {
 						tr.EnableDetail()
 					}
-					gw := &GroupWork{Index: idx, Group: g, Trace: tr}
-					cfg := &vm.GroupConfig{
-						Kernel:       ndr.Kernel,
-						WorkDim:      ndr.WorkDim,
-						GroupID:      g,
-						LocalSize:    ndr.Local,
-						GlobalSize:   ndr.Global,
-						GlobalOffset: ndr.Offset,
-						Args:         ndr.Args,
-						Mem:          gmem,
-						Observer:     tr,
-						Engine:       rc.Engine,
+					if record != nil {
+						obs = record(idx, tr)
 					}
+					gw := &GroupWork{Index: idx, Group: g, Trace: tr}
 					res.gw = gw
-					res.err = vm.RunGroup(cfg, &gw.Profile)
+					res.err = vm.RunGroup(groupConfig(rc, ndr, gmem, g, obs), &gw.Profile)
 				}
 				results <- res
 			}
@@ -312,20 +343,40 @@ func RunGroups(rc RunConfig, ndr *NDRange, gmem vm.GlobalMemory, consume func(*G
 	return rc.Context().Err()
 }
 
-// SerialGroups executes the NDRange's work-groups one at a time on the
-// calling goroutine, checking rc's context between groups. run is
-// invoked in dispatch order with the group's index and ID.
-func SerialGroups(rc RunConfig, ndr *NDRange, run func(index int, group [3]int) error) error {
-	ctx := rc.Ctx
-	idx := 0
-	return ForEachGroup(ndr, func(group [3]int) error {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		err := run(idx, group)
-		idx++
-		return err
-	})
+// RunLive executes one work-group on the calling goroutine straight
+// into obs, adding its instruction counts to prof: the live body of a
+// device's RunGroups call. In race mode the group's accesses are also
+// recorded into a detail trace, which rc.Race observes once the group
+// has completed.
+func RunLive(rc RunConfig, ndr *NDRange, gmem vm.GlobalMemory, group [3]int, obs vm.AccessObserver, prof *vm.Profile) error {
+	cfg := groupConfig(rc, ndr, gmem, group, obs)
+	var detail *vm.Trace
+	if rc.Race != nil {
+		detail = vm.NewTrace()
+		detail.EnableDetail()
+		cfg.Observer = vm.Tee(obs, detail)
+	}
+	err := vm.RunGroup(cfg, prof)
+	if err == nil && detail != nil {
+		rc.Race.ObserveGroup(group, detail)
+	}
+	detail.Release()
+	return err
+}
+
+// groupConfig is the VM configuration of one work-group of the
+// NDRange, executing against obs.
+func groupConfig(rc RunConfig, ndr *NDRange, gmem vm.GlobalMemory, group [3]int, obs vm.AccessObserver) *vm.GroupConfig {
+	return &vm.GroupConfig{
+		Kernel:       ndr.Kernel,
+		WorkDim:      ndr.WorkDim,
+		GroupID:      group,
+		LocalSize:    ndr.Local,
+		GlobalSize:   ndr.Global,
+		GlobalOffset: ndr.Offset,
+		Args:         ndr.Args,
+		Mem:          gmem,
+		Observer:     obs,
+		Engine:       rc.Engine,
+	}
 }

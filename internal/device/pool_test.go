@@ -4,44 +4,16 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"maligo/internal/clc"
 	"maligo/internal/clc/ir"
 	"maligo/internal/device"
+	"maligo/internal/device/devicetest"
 	"maligo/internal/vm"
 )
-
-// poolMem is a minimal GlobalMemory over one flat byte slice;
-// concurrent work-groups touch disjoint ranges so plain stores are
-// safe.
-type poolMem struct {
-	data []byte
-}
-
-func (m *poolMem) LoadBits(space int, off int64, size int) (uint64, error) {
-	var v uint64
-	for i := size - 1; i >= 0; i-- {
-		v = v<<8 | uint64(m.data[off+int64(i)])
-	}
-	return v, nil
-}
-
-func (m *poolMem) StoreBits(space int, off int64, size int, bits uint64) error {
-	for i := 0; i < size; i++ {
-		m.data[off+int64(i)] = byte(bits >> (8 * uint(i)))
-	}
-	return nil
-}
-
-func (m *poolMem) AtomicRMW(space int, off int64, size int, fn func(uint64) uint64) (uint64, error) {
-	old, err := m.LoadBits(space, off, size)
-	if err != nil {
-		return 0, err
-	}
-	return old, m.StoreBits(space, off, size, fn(old))
-}
 
 const idKernel = `
 __kernel void ids(__global int* out) {
@@ -75,20 +47,37 @@ func idNDRange(t *testing.T, n, local int) *device.NDRange {
 	}
 }
 
+// poolOnly is the live body of runs that must take the pool path.
+func poolOnly(t *testing.T) func(int, [3]int) error {
+	return func(idx int, _ [3]int) error {
+		t.Errorf("group %d ran live on the pool path", idx)
+		return nil
+	}
+}
+
+// liveOnly is the consume body of runs that must run every group live.
+func liveOnly(t *testing.T) func(*device.GroupWork) error {
+	return func(gw *device.GroupWork) error {
+		t.Errorf("group %d went through the pool path", gw.Index)
+		gw.Trace.Release()
+		return nil
+	}
+}
+
 // TestRunGroupsOrdering checks that consume sees every group exactly
 // once, in dispatch order, regardless of the concurrent execution
 // order, and that the functional result lands in memory.
 func TestRunGroupsOrdering(t *testing.T) {
 	const n, local = 1024, 16
 	ndr := idNDRange(t, n, local)
-	mem := &poolMem{data: make([]byte, n*4)}
+	mem := make(devicetest.Mem, n*4)
 
 	pool := device.NewPool(4)
 	defer pool.Close()
 
 	var order []int
 	var workItems uint64
-	err := device.RunGroups(device.RunConfig{Pool: pool}, ndr, mem, func(gw *device.GroupWork) error {
+	err := device.RunGroups(device.RunConfig{Pool: pool}, ndr, mem, poolOnly(t), nil, func(gw *device.GroupWork) error {
 		order = append(order, gw.Index)
 		workItems += gw.Profile.WorkItems
 		if gw.Trace.Len() == 0 {
@@ -123,13 +112,13 @@ func TestRunGroupsOrdering(t *testing.T) {
 // aborts the run and is reported.
 func TestRunGroupsConsumeError(t *testing.T) {
 	ndr := idNDRange(t, 256, 16)
-	mem := &poolMem{data: make([]byte, 256*4)}
+	mem := make(devicetest.Mem, 256*4)
 	pool := device.NewPool(4)
 	defer pool.Close()
 
 	boom := errors.New("boom")
 	calls := 0
-	err := device.RunGroups(device.RunConfig{Pool: pool}, ndr, mem, func(gw *device.GroupWork) error {
+	err := device.RunGroups(device.RunConfig{Pool: pool}, ndr, mem, poolOnly(t), nil, func(gw *device.GroupWork) error {
 		calls++
 		gw.Trace.Release()
 		if gw.Index == 3 {
@@ -149,13 +138,13 @@ func TestRunGroupsConsumeError(t *testing.T) {
 // with the context's error.
 func TestRunGroupsCancel(t *testing.T) {
 	ndr := idNDRange(t, 1024, 16)
-	mem := &poolMem{data: make([]byte, 1024*4)}
+	mem := make(devicetest.Mem, 1024*4)
 	pool := device.NewPool(2)
 	defer pool.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := device.RunGroups(device.RunConfig{Ctx: ctx, Pool: pool}, ndr, mem, func(gw *device.GroupWork) error {
+	err := device.RunGroups(device.RunConfig{Ctx: ctx, Pool: pool}, ndr, mem, poolOnly(t), nil, func(gw *device.GroupWork) error {
 		gw.Trace.Release()
 		return nil
 	})
@@ -164,20 +153,20 @@ func TestRunGroupsCancel(t *testing.T) {
 	}
 }
 
-// TestSerialGroupsOrderAndCancel checks the serial fallback's dispatch
-// order and its between-group cancellation point.
-func TestSerialGroupsOrderAndCancel(t *testing.T) {
+// TestRunGroupsLiveOrderAndCancel checks the live path without a
+// pool: dispatch order and the between-group cancellation point.
+func TestRunGroupsLiveOrderAndCancel(t *testing.T) {
 	ndr := idNDRange(t, 64, 16)
 	var order []int
-	err := device.SerialGroups(device.RunConfig{}, ndr, func(idx int, group [3]int) error {
+	err := device.RunGroups(device.RunConfig{}, ndr, nil, func(idx int, group [3]int) error {
 		order = append(order, idx)
 		if group[0] != idx {
 			t.Errorf("group[0] = %d at index %d", group[0], idx)
 		}
 		return nil
-	})
+	}, nil, liveOnly(t))
 	if err != nil {
-		t.Fatalf("SerialGroups: %v", err)
+		t.Fatalf("RunGroups: %v", err)
 	}
 	if len(order) != 4 {
 		t.Fatalf("ran %d groups, want 4", len(order))
@@ -185,18 +174,108 @@ func TestSerialGroupsOrderAndCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	ran := 0
-	err = device.SerialGroups(device.RunConfig{Ctx: ctx}, ndr, func(idx int, group [3]int) error {
+	err = device.RunGroups(device.RunConfig{Ctx: ctx}, ndr, nil, func(idx int, group [3]int) error {
 		ran++
 		if ran == 2 {
 			cancel()
 		}
 		return nil
-	})
+	}, nil, liveOnly(t))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if ran != 2 {
 		t.Fatalf("ran %d groups after cancel, want 2", ran)
+	}
+}
+
+// TestRunGroupsLoneGroupLive checks that a one-group NDRange runs live
+// even with a pool, and that the lone live group honours cancellation
+// and returns its error.
+func TestRunGroupsLoneGroupLive(t *testing.T) {
+	ndr := idNDRange(t, 16, 16)
+	pool := device.NewPool(4)
+	defer pool.Close()
+	rc := device.RunConfig{Pool: pool}
+
+	ran := 0
+	err := device.RunGroups(rc, ndr, nil, func(idx int, group [3]int) error {
+		ran++
+		if idx != 0 || group != [3]int{} {
+			t.Errorf("lone group ran as index %d, group %v", idx, group)
+		}
+		return nil
+	}, nil, liveOnly(t))
+	if err != nil || ran != 1 {
+		t.Fatalf("err = %v, ran %d groups; want nil, 1", err, ran)
+	}
+
+	boom := errors.New("boom")
+	err = device.RunGroups(rc, ndr, nil, func(int, [3]int) error { return boom }, nil, liveOnly(t))
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rc.Ctx = ctx
+	ran = 0
+	err = device.RunGroups(rc, ndr, nil, func(int, [3]int) error {
+		ran++
+		return nil
+	}, nil, liveOnly(t))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if ran != 0 {
+		t.Fatalf("a cancelled lone group ran %d times", ran)
+	}
+}
+
+// privateFilter is a record observer that absorbs every access, the
+// stand-in for a device's private cache level catching all of them.
+type privateFilter struct{ accesses *atomic.Int64 }
+
+func (f privateFilter) OnAccess(space int, addr int64, size int, write bool) { f.accesses.Add(1) }
+
+func (f privateFilter) OnAtomic(space int, addr int64, size int) {}
+
+// TestRunGroupsRecord checks that record's observer is what each
+// worker runs against: it sees every access, consume sees only what
+// it passed on (here nothing), and record is called once per group
+// with its dispatch index.
+func TestRunGroupsRecord(t *testing.T) {
+	const n, local = 256, 16
+	ndr := idNDRange(t, n, local)
+	mem := make(devicetest.Mem, n*4)
+	pool := device.NewPool(2)
+	defer pool.Close()
+
+	var accesses atomic.Int64
+	seen := make([]atomic.Int32, n/local)
+	err := device.RunGroups(device.RunConfig{Pool: pool}, ndr, mem, poolOnly(t),
+		func(idx int, tr *vm.Trace) vm.AccessObserver {
+			seen[idx].Add(1)
+			return privateFilter{&accesses}
+		},
+		func(gw *device.GroupWork) error {
+			if got := gw.Trace.Len(); got != 0 {
+				t.Errorf("group %d: %d records passed the filter, want 0", gw.Index, got)
+			}
+			gw.Trace.Release()
+			return nil
+		})
+	if err != nil {
+		t.Fatalf("RunGroups: %v", err)
+	}
+	// Each work-item stores its ID once.
+	if got := accesses.Load(); got < n {
+		t.Fatalf("filter saw %d accesses, want at least %d", got, n)
+	}
+	for i := range seen {
+		if c := seen[i].Load(); c != 1 {
+			t.Fatalf("record called %d times for group %d, want 1", c, i)
+		}
 	}
 }
 
@@ -229,7 +308,7 @@ func waitGoroutines(t *testing.T, base int) {
 func TestRunGroupsSlowObserverCancelNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ndr := idNDRange(t, 4096, 16)
-	mem := &poolMem{data: make([]byte, 4096*4)}
+	mem := make(devicetest.Mem, 4096*4)
 	pool := device.NewPool(4)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -238,7 +317,7 @@ func TestRunGroupsSlowObserverCancelNoLeak(t *testing.T) {
 		Ctx:  ctx,
 		Pool: pool,
 		Race: slowObserver{delay: time.Millisecond},
-	}, ndr, mem, func(gw *device.GroupWork) error {
+	}, ndr, mem, poolOnly(t), nil, func(gw *device.GroupWork) error {
 		consumed++
 		gw.Trace.Release()
 		if consumed == 2 {
@@ -262,11 +341,11 @@ func TestRunGroupsSlowObserverCancelNoLeak(t *testing.T) {
 func TestRunGroupsConsumeErrorNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ndr := idNDRange(t, 4096, 16)
-	mem := &poolMem{data: make([]byte, 4096*4)}
+	mem := make(devicetest.Mem, 4096*4)
 	pool := device.NewPool(4)
 
 	boom := errors.New("boom")
-	err := device.RunGroups(device.RunConfig{Pool: pool}, ndr, mem, func(gw *device.GroupWork) error {
+	err := device.RunGroups(device.RunConfig{Pool: pool}, ndr, mem, poolOnly(t), nil, func(gw *device.GroupWork) error {
 		gw.Trace.Release()
 		return boom
 	})
@@ -292,10 +371,10 @@ func TestPoolRunNested(t *testing.T) {
 	}
 
 	ndr := idNDRange(t, 256, 16)
-	mem := &poolMem{data: make([]byte, 256*4)}
+	mem := make(devicetest.Mem, 256*4)
 	var groups int
 	pool.Run(func() {
-		err := device.RunGroups(device.RunConfig{Pool: pool}, ndr, mem, func(gw *device.GroupWork) error {
+		err := device.RunGroups(device.RunConfig{Pool: pool}, ndr, mem, poolOnly(t), nil, func(gw *device.GroupWork) error {
 			groups++
 			gw.Trace.Release()
 			return nil

@@ -345,11 +345,12 @@ func (g *GPU) Run(ndr *device.NDRange, gmem vm.GlobalMemory) (*device.Report, er
 	return g.RunWith(device.RunConfig{}, ndr, gmem)
 }
 
-// RunWith implements device.ContextRunner. With a pool in rc,
-// work-groups execute functionally in parallel while their recorded
-// memory traces are replayed through the stateful L2/SCU model in
-// dispatch order — so the report is bit-identical to serial execution
-// regardless of worker count.
+// RunWith implements device.ContextRunner. With a pool in rc and more
+// than one work-group, work-groups execute functionally in parallel
+// while their recorded memory traces are replayed through the stateful
+// L2/SCU model in dispatch order — so the report is bit-identical to
+// serial execution regardless of worker count. A lone work-group runs
+// live into the model, with no trace.
 func (g *GPU) RunWith(rc device.RunConfig, ndr *device.NDRange, gmem vm.GlobalMemory) (*device.Report, error) {
 	k := ndr.Kernel
 	if k.UsesDouble && g.embedded {
@@ -380,11 +381,18 @@ func (g *GPU) RunWith(rc device.RunConfig, ndr *device.NDRange, gmem vm.GlobalMe
 		nWI *= ndr.Local[d]
 	}
 
-	// account prices one work-group whose accesses have just passed
-	// through obs. It must run in dispatch order: the cache model, the
-	// miss classifier and the core scheduler are all stateful.
-	account := func(prof *vm.Profile, dram, localAtomics, seq, rnd uint64) {
-		cost := g.groupCycles(k, prof, dram, nWI, localAtomics, seq, rnd)
+	// price feeds one work-group's accesses through obs and prices the
+	// group from prof. It must run in dispatch order: the cache model,
+	// the miss classifier and the core scheduler are all stateful.
+	price := func(wgIndex int, prof *vm.Profile, feed func() error) error {
+		obs.localBase = (1 << 44) + uint64(wgIndex)*(1<<22)
+		obs.privateBase = (1 << 45) + uint64(wgIndex)*(1<<22)
+		dram, localAtomics, seq, rnd := obs.dramBytes, obs.localAtomics, obs.seqMisses, obs.rndMisses
+		if err := feed(); err != nil {
+			return err
+		}
+		cost := g.groupCycles(k, prof, obs.dramBytes-dram, nWI, obs.localAtomics-localAtomics,
+			obs.seqMisses-seq, obs.rndMisses-rnd)
 		// Earliest-free core gets the group.
 		core := 0
 		for c := 1; c < m.Cores; c++ {
@@ -398,58 +406,24 @@ func (g *GPU) RunWith(rc device.RunConfig, ndr *device.NDRange, gmem vm.GlobalMe
 		arithSlots += cost.arithSlots
 		lsSlots += cost.lsSlots
 		total.Add(prof)
-	}
-	beginGroup := func(wgIndex int) (dram, localAtomics, seq, rnd uint64) {
-		obs.localBase = (1 << 44) + uint64(wgIndex)*(1<<22)
-		obs.privateBase = (1 << 45) + uint64(wgIndex)*(1<<22)
-		return obs.dramBytes, obs.localAtomics, obs.seqMisses, obs.rndMisses
+		return nil
 	}
 
-	var err error
-	if rc.Parallel() {
-		err = device.RunGroups(rc, ndr, gmem, func(gw *device.GroupWork) error {
-			prevDram, prevLA, prevSeq, prevRnd := beginGroup(gw.Index)
-			gw.Trace.Replay(obs)
-			gw.Trace.Release()
-			account(&gw.Profile, obs.dramBytes-prevDram, obs.localAtomics-prevLA,
-				obs.seqMisses-prevSeq, obs.rndMisses-prevRnd)
-			return nil
-		})
-	} else {
-		err = device.SerialGroups(rc, ndr, func(wgIndex int, group [3]int) error {
-			prevDram, prevLA, prevSeq, prevRnd := beginGroup(wgIndex)
-			var prof vm.Profile
-			cfg := &vm.GroupConfig{
-				Kernel:       k,
-				WorkDim:      ndr.WorkDim,
-				GroupID:      group,
-				LocalSize:    ndr.Local,
-				GlobalSize:   ndr.Global,
-				GlobalOffset: ndr.Offset,
-				Args:         ndr.Args,
-				Mem:          gmem,
-				Observer:     obs,
-				Engine:       rc.Engine,
-			}
-			var detail *vm.Trace
-			if rc.Race != nil {
-				detail = vm.NewTrace()
-				detail.EnableDetail()
-				cfg.Observer = vm.Tee(obs, detail)
-			}
-			if err := vm.RunGroup(cfg, &prof); err != nil {
-				detail.Release()
-				return err
-			}
-			if detail != nil {
-				rc.Race.ObserveGroup(group, detail)
-				detail.Release()
-			}
-			account(&prof, obs.dramBytes-prevDram, obs.localAtomics-prevLA,
-				obs.seqMisses-prevSeq, obs.rndMisses-prevRnd)
-			return nil
+	live := func(wgIndex int, group [3]int) error {
+		var prof vm.Profile
+		return price(wgIndex, &prof, func() error {
+			return device.RunLive(rc, ndr, gmem, group, obs, &prof)
 		})
 	}
+	// The L2 is the GPU's only cache and every core shares it, so a
+	// pool worker has no private state to apply: it traces every access.
+	err := device.RunGroups(rc, ndr, gmem, live, nil, func(gw *device.GroupWork) error {
+		return price(gw.Index, &gw.Profile, func() error {
+			gw.Trace.Replay(obs)
+			gw.Trace.Release()
+			return nil
+		})
+	})
 	if err != nil {
 		return nil, err
 	}

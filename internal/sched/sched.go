@@ -525,8 +525,9 @@ func (s *Scheduler) bumpLocked() {
 // scheduler lock, in completion order.
 func (s *Scheduler) fire(evs []*Event) {
 	for _, e := range evs {
-		if e.cmd != nil && e.cmd.onComplete != nil {
-			e.cmd.onComplete(e)
+		if c := e.cmd; c != nil && c.onComplete != nil {
+			c.onComplete(e)
+			c.onComplete = nil
 		}
 		close(e.done)
 	}
@@ -560,6 +561,10 @@ func (s *Scheduler) finishLocked(e *Event, out Outcome, err error, fired *[]*Eve
 		e.started = e.submitted + dispatch
 		e.ended = e.submitted + out.Seconds
 		delete(s.pending, c)
+		// The stamps are final: drop the body and the dependency edges,
+		// so an in-order chain (each command's queuedAfter pointing at
+		// its predecessor's event) keeps no finished body reachable.
+		c.run, c.deps, c.queuedAfter = nil, nil, nil
 	}
 	if err != nil {
 		e.status = StatusFailed

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -50,6 +51,57 @@ func TestInOrderChainStamps(t *testing.T) {
 	if fmt.Sprint(ran) != "[a b c]" {
 		t.Errorf("execution order %v", ran)
 	}
+}
+
+// TestCompletedChainReleasesBodies checks that a finished in-order
+// chain keeps no command body reachable: whoever holds only the
+// chain's last event (a tenant's admission chain) must not pin the
+// state the bodies and completion callbacks captured.
+func TestCompletedChainReleasesBodies(t *testing.T) {
+	s := sched.New()
+	defer s.Close()
+	freed := make(chan struct{})
+	tail := func() *sched.Event {
+		buf := new([1 << 16]byte)
+		runtime.SetFinalizer(buf, func(*[1 << 16]byte) { close(freed) })
+		var prev *sched.Event
+		for i := 0; i < 1000; i++ {
+			c := s.NewCommand(fmt.Sprintf("c%d", i), func() (sched.Outcome, error) {
+				return sched.Outcome{Seconds: 1}, nil
+			})
+			// The first command is reachable only through the chain; the
+			// last one's event is held, so its own body and callback must
+			// go too.
+			if i == 0 || i == 999 {
+				c = s.NewCommand(fmt.Sprintf("c%d", i), func() (sched.Outcome, error) {
+					buf[0]++
+					return sched.Outcome{Seconds: 1}, nil
+				}).OnComplete(func(*sched.Event) { buf[1]++ })
+			}
+			c.QueuedAfter(prev)
+			if err := s.Submit(c); err != nil {
+				t.Fatal(err)
+			}
+			prev = c.Event()
+		}
+		return prev
+	}()
+	if err := tail.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, end := tail.Stamps(); end != 1000 {
+		t.Fatalf("chain ended at %g, want 1000", end)
+	}
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			runtime.KeepAlive(tail)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a body's captured buffer is still reachable from the completed chain")
 }
 
 // TestOutOfOrderOverlap checks independent commands overlap in
