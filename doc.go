@@ -64,6 +64,14 @@
 //     "observationally identical to interp".
 //   - EngineCompiled — the closure-compiled fast path (the default).
 //     Kernels pre-decode into basic blocks of fused execution units.
+//     A tier-2 lowering driven by one liveness pass per kernel then
+//     removes the copies and immediates the IR keeps (coalescing,
+//     copy propagation, read-only constant slots, dead-write
+//     elimination) from what the host executes. Profile counts still
+//     come from the unmodified IR: each block adds its static
+//     arithmetic delta through one execution counter, and steps, pcs
+//     and fault points follow the original instruction stream,
+//     because that stream is what the simulated device is priced on.
 //   - EngineLanes — the lock-step lane-batched SIMT executor. Work-items
 //     run 16 to a batch over structure-of-arrays register files with an
 //     active-lane mask for divergent control flow, reconverging at

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -232,5 +233,134 @@ func TestArenaRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refCache is the naive reference model: one slice of ways per set,
+// set index and tag by division, LRU by access tick.
+type refCache struct {
+	sets      [][]refLine
+	lineBytes uint64
+	tick      uint64
+	stats     CacheStats
+}
+
+type refLine struct {
+	valid, dirty bool
+	tag, lru     uint64
+}
+
+func newRefCache(cfg CacheConfig) *refCache {
+	nsets := max(cfg.SizeBytes/(cfg.LineBytes*cfg.Ways), 1)
+	r := &refCache{sets: make([][]refLine, nsets), lineBytes: uint64(cfg.LineBytes)}
+	for i := range r.sets {
+		r.sets[i] = make([]refLine, cfg.Ways)
+	}
+	return r
+}
+
+func (r *refCache) access(addr uint64, size int, write bool) (misses, writebacks int) {
+	if size <= 0 {
+		size = 1
+	}
+	nsets := uint64(len(r.sets))
+	for ln := addr / r.lineBytes; ln <= (addr+uint64(size)-1)/r.lineBytes; ln++ {
+		r.tick++
+		r.stats.Accesses++
+		set, tag := r.sets[ln%nsets], ln/nsets
+		hit := false
+		for i := range set {
+			if set[i].valid && set[i].tag == tag {
+				set[i].lru = r.tick
+				set[i].dirty = set[i].dirty || write
+				hit = true
+				break
+			}
+		}
+		if hit {
+			r.stats.Hits++
+			continue
+		}
+		r.stats.Misses++
+		misses++
+		victim := -1
+		for i := range set {
+			if !set[i].valid {
+				victim = i
+				break
+			}
+			if victim < 0 || set[i].lru < set[victim].lru {
+				victim = i
+			}
+		}
+		if set[victim].valid && set[victim].dirty {
+			r.stats.Writebacks++
+			writebacks++
+		}
+		set[victim] = refLine{valid: true, dirty: write, tag: tag, lru: r.tick}
+	}
+	return misses, writebacks
+}
+
+// TestCacheMatchesReference drives the cache and the naive reference
+// with the same random access streams — power-of-two and
+// non-power-of-two set counts (the modelled L2s have 384 and 96 sets),
+// addresses clustered near the 1<<44..1<<46 space bases the device
+// models map local, private and global memory to, plus a few beyond
+// the multiply-shift's exact range — and requires identical per-call
+// misses and writebacks and identical final statistics.
+func TestCacheMatchesReference(t *testing.T) {
+	geoms := []CacheConfig{
+		{SizeBytes: 1024, LineBytes: 64, Ways: 2},       // 8 sets
+		{SizeBytes: 128, LineBytes: 64, Ways: 2},        // 1 set
+		{SizeBytes: 768 << 10, LineBytes: 64, Ways: 32}, // 384 sets
+		{SizeBytes: 96 << 10, LineBytes: 64, Ways: 16},  // 96 sets
+		{SizeBytes: 3 * 64 * 4, LineBytes: 64, Ways: 4}, // 3 sets
+		{SizeBytes: 7 * 32 * 2, LineBytes: 32, Ways: 2}, // 7 sets, 32-byte lines
+	}
+	bases := []uint64{0, 1 << 44, 1 << 45, 1 << 46, 1<<46 + 1<<22}
+	for gi, cfg := range geoms {
+		c, ref := NewCache(cfg), newRefCache(cfg)
+		rnd := rand.New(rand.NewSource(int64(gi) + 1))
+		span := uint64(cfg.SizeBytes) * 4
+		for i := 0; i < 20000; i++ {
+			var addr uint64
+			switch rnd.Intn(16) {
+			case 0: // beyond the fast range of any set count
+				addr = math.MaxUint64 - uint64(rnd.Intn(1<<20))
+			case 1:
+				addr = uint64(1)<<60 + uint64(rnd.Int63n(1<<20))
+			default:
+				addr = bases[rnd.Intn(len(bases))] + uint64(rnd.Int63n(int64(span)))
+			}
+			size := 1 << rnd.Intn(7)
+			write := rnd.Intn(3) == 0
+			if addr > math.MaxUint64-uint64(size) {
+				addr -= uint64(size)
+			}
+			gm, gw := c.Access(addr, size, write)
+			wm, ww := ref.access(addr, size, write)
+			if gm != wm || gw != ww {
+				t.Fatalf("%+v access %d (addr %#x size %d write %v): misses/writebacks %d/%d, reference %d/%d",
+					cfg, i, addr, size, write, gm, gw, wm, ww)
+			}
+		}
+		if c.Stats() != ref.stats {
+			t.Fatalf("%+v: stats %+v, reference %+v", cfg, c.Stats(), ref.stats)
+		}
+	}
+}
+
+// TestCacheSetIndexExact checks the multiply-shift set index against
+// % at the edges of its exact range for the modelled set counts.
+func TestCacheSetIndexExact(t *testing.T) {
+	for _, nsets := range []int{1, 2, 3, 7, 96, 384, 512, 1000} {
+		c := NewCache(CacheConfig{SizeBytes: nsets * 64, LineBytes: 64, Ways: 1})
+		for _, ln := range []uint64{0, 1, uint64(nsets) - 1, uint64(nsets), 1 << 38, 1<<40 + 12345,
+			c.fastLimit - 1, c.fastLimit, c.fastLimit + 1, math.MaxUint64 >> 6} {
+			if got, want := c.setOf(ln), ln%uint64(nsets); got != want {
+				t.Errorf("nsets %d: setOf(%#x) = %d, want %d", nsets, ln, got, want)
+			}
+		}
 	}
 }

@@ -51,17 +51,6 @@ type pureDelta struct {
 	slots               uint64
 }
 
-// add applies the delta to a profile.
-func (d *pureDelta) add(p *Profile) {
-	p.IntInstrs += d.intInstrs
-	p.IntLanes += d.intLanes
-	p.F32Instrs += d.f32Instrs
-	p.F32Lanes += d.f32Lanes
-	p.F64Instrs += d.f64Instrs
-	p.F64Lanes += d.f64Lanes
-	p.ArithSlots128 += d.slots
-}
-
 // accum folds another delta into d.
 func (d *pureDelta) accum(o *pureDelta) {
 	d.intInstrs += o.intInstrs
@@ -197,11 +186,20 @@ type Compiled struct {
 	ops    []cop
 	blocks int
 	fused  int
+	// deltas holds the static profile contribution of each compiled
+	// block's pure instructions, indexed by the block's execution
+	// counter; runGroupCompiled folds the counters into the Profile
+	// once per group.
+	deltas []pureDelta
+	// initI and initF are a work-item's register files after reset:
+	// zeroed registers followed by the tier-2 constant slots.
+	initI []int64
+	initF []float64
 }
 
 // NumOps returns the compiled program length (one slot per IR
-// instruction; instructions inside a block keep their own slot so jump
-// targets stay addressable).
+// instruction, so pcs index it directly; only block starts are ever
+// dispatched).
 func (c *Compiled) NumOps() int { return len(c.ops) }
 
 // Blocks returns the number of basic blocks the program was split
@@ -228,7 +226,8 @@ func compiledFor(k *ir.Kernel) *Compiled {
 
 // CompileKernel translates the kernel IR into its closure program:
 // per-instruction units first, then one superinstruction closure per
-// multi-instruction basic block. Exported for the engine benchmarks
+// basic block that has more than one instruction or starts with a pure
+// one. Exported for the engine benchmarks
 // and equivalence tests; normal execution goes through the per-kernel
 // cache.
 func CompileKernel(k *ir.Kernel) *Compiled {
@@ -242,7 +241,6 @@ func CompileKernel(k *ir.Kernel) *Compiled {
 	for i := range code {
 		if p, d, ok := genPure(&code[i]); ok {
 			pures[i], deltas[i], isPure[i] = p, d, true
-			ops[i] = standaloneOp(p, d)
 			continue
 		}
 		ops[i] = genOp(&code[i])
@@ -251,13 +249,46 @@ func CompileKernel(k *ir.Kernel) *Compiled {
 		}
 	}
 
-	// Block boundaries: the function entry, every jump target, and the
-	// instruction after every control-flow op. Dispatch can only ever
-	// land on one of these (entry pc 0, a taken jump, fallthrough past
-	// a block, or resume after a barrier), so executing whole blocks
-	// under one dispatch preserves the instruction-at-a-time
-	// observables; the non-start slots keep their standalone closures
-	// anyway.
+	// Dispatch can only ever land on a block start (see blockStarts), so
+	// executing whole blocks under one dispatch preserves the
+	// instruction-at-a-time observables. Pure instructions inside a
+	// block get no closure of their own; effectful ones keep theirs as
+	// block parts.
+	isStart := blockStarts(code)
+
+	bc := &blockCompiler{
+		code: code, pures: pures, deltas: deltas, isPure: isPure, isInline: isInline,
+		ops: ops, t2: newTier2(k, isStart),
+	}
+	blocks, fused := 0, 0
+	for start := 0; start < n; {
+		end := start + 1
+		for end < n && !isStart[end] {
+			end++
+		}
+		blocks++
+		if end-start > 1 || isPure[start] {
+			fused += end - start - 1
+			ops[start] = bc.compileBlock(start, end)
+		}
+		start = end
+	}
+	c := &Compiled{k: k, ops: ops, blocks: blocks, fused: fused, deltas: bc.counted,
+		initI: make([]int64, k.NumI+len(bc.t2.constI)),
+		initF: make([]float64, k.NumF+len(bc.t2.constF)),
+	}
+	copy(c.initI[k.NumI:], bc.t2.constI)
+	copy(c.initF[k.NumF:], bc.t2.constF)
+	return c
+}
+
+// blockStarts marks the block boundaries of a kernel: the function
+// entry, every jump target, and the instruction after every
+// control-flow op (entry pc 0, a taken jump, fallthrough past a block
+// and resume after a barrier are the only places dispatch lands). The
+// slot past the end is marked too.
+func blockStarts(code []ir.Instr) []bool {
+	n := len(code)
 	isStart := make([]bool, n+1)
 	isStart[n] = true
 	if n > 0 {
@@ -274,21 +305,7 @@ func CompileKernel(k *ir.Kernel) *Compiled {
 			isStart[i+1] = true
 		}
 	}
-
-	blocks, fused := 0, 0
-	for start := 0; start < n; {
-		end := start + 1
-		for end < n && !isStart[end] {
-			end++
-		}
-		blocks++
-		if end-start > 1 {
-			fused += end - start - 1
-			ops[start] = compileBlock(pures, deltas, isPure, isInline, ops, start, end)
-		}
-		start = end
-	}
-	return &Compiled{k: k, ops: ops, blocks: blocks, fused: fused}
+	return isStart
 }
 
 // Block bookkeeping. The dispatch loop has already accounted the
@@ -315,9 +332,13 @@ func CompileKernel(k *ir.Kernel) *Compiled {
 //     and all VM state when RunGroup fails, so the two engines remain
 //     observationally identical;
 //   - the summed profile delta of all the block's pure instructions is
-//     applied once per execution, up front — on success every pure op
-//     ran (control ops only end blocks), and on failure the profile is
-//     discarded.
+//     counted once per execution, up front, as one increment of the
+//     block's execution counter; the counters are folded into the
+//     Profile once per group. On success every pure op ran (control
+//     ops only end blocks), and on failure the profile is discarded.
+//     The delta comes from the unmodified IR, so the tier-2 rewrites
+//     (tier2.go), which only change the pIns a run executes, move no
+//     count.
 
 // countEff performs the in-block dispatch bookkeeping for one
 // effectful instruction. It reports false when the step limit tripped,
@@ -342,60 +363,199 @@ type bpart struct {
 	counted bool
 }
 
+// blockCompiler carries the per-instruction pre-decode and the tier-2
+// liveness through the compilation of one kernel's blocks.
+type blockCompiler struct {
+	code     []ir.Instr
+	pures    []pIns
+	deltas   []pureDelta
+	isPure   []bool
+	isInline []bool
+	ops      []cop
+	t2       *tier2
+	// counted collects each compiled block's pure profile delta, in
+	// counter order.
+	counted []pureDelta
+	// ps and srcs are reused run buffers; fuseRun copies the result out.
+	ps   []pIns
+	srcs []*ir.Instr
+}
+
+func (bc *blockCompiler) inRun(i int) bool { return bc.isPure[i] || bc.isInline[i] }
+
 // compileBlock builds the superinstruction closure for the block
-// code[start:end]: pure runs (multiply-add pairs fused) and inline
-// scalar memory accesses merge into contiguous pIns segments, the
-// remaining effectful instructions stay closure parts, and all the
-// step/pc bookkeeping is resolved at compile time.
+// code[start:end]: pure runs (tier-2 rewritten, then multiply-add pairs
+// fused) and inline scalar memory accesses merge into contiguous pIns
+// segments, the remaining effectful instructions stay closure parts, a
+// closing jump runs inline, and all the step/pc bookkeeping is resolved
+// at compile time.
 //
 // acc tracks how many of the block's instructions are already
 // accounted at each point: the dispatch loop pre-counts the first
 // (acc starts at 1), every inline memory access syncs its own pre
 // count, each segment flushes its unaccounted tail through ki, and
 // closure parts count themselves through the counted flag.
-func compileBlock(pures []pIns, deltas []pureDelta, isPure, isInline []bool, ops []cop, start, end int) cop {
+func (bc *blockCompiler) compileBlock(start, end int) cop {
+	code, t2 := bc.code, bc.t2
+
+	// The live set after each pure run, walking the block backward from
+	// its live-out.
+	runLive := make([]bitset, end-start)
+	live := t2.blockBuf
+	copy(live, t2.liveOut[start])
+	for i := end - 1; i >= start; i-- {
+		if bc.inRun(i) && (i == end-1 || !bc.inRun(i+1)) {
+			runLive[i-start] = append(bitset(nil), live...)
+		}
+		t2.transferIR(live, &code[i])
+	}
+
+	term := bterm{end: end}
+	last := end
+	switch in := &code[end-1]; in.Op {
+	case ir.Jmp, ir.JmpIf, ir.JmpIfZ:
+		term.op, term.b, term.target = in.Op, int(in.B), int(in.Imm)
+		last = end - 1
+	}
+
 	var parts []bpart
 	var total pureDelta
 	acc := 1 // instructions accounted so far (dispatch counts the first)
 	idx := 0 // instruction index within the block
-	for i := start; i < end; {
-		if isPure[i] || isInline[i] {
-			var ps []pIns
-			for i < end && (isPure[i] || isInline[i]) {
-				in := pures[i]
-				if isPure[i] {
-					total.accum(&deltas[i])
+	for i := start; i < last; {
+		if bc.inRun(i) {
+			ps, srcs := bc.ps[:0], bc.srcs[:0]
+			for i < last && bc.inRun(i) {
+				in := bc.pures[i]
+				if bc.isPure[i] {
+					total.accum(&bc.deltas[i])
 				} else {
 					in.pre = uint16(idx + 1 - acc)
 					acc = idx + 1
 				}
 				ps = append(ps, in)
+				srcs = append(srcs, &code[i])
 				idx++
 				i++
 			}
+			bc.ps, bc.srcs = ps, srcs
+			ps = t2.rewriteRun(ps, srcs, runLive[i-1-start])
 			parts = append(parts, bpart{run: fuseRun(ps), ki: idx - acc})
 			acc = idx
 			continue
 		}
-		parts = append(parts, bpart{eff: ops[i], counted: acc != idx+1})
+		parts = append(parts, bpart{eff: bc.ops[i], counted: acc != idx+1})
 		acc = idx + 1
 		idx++
 		i++
 	}
-	return blockOp(parts, total)
+	ci := len(bc.counted)
+	bc.counted = append(bc.counted, total)
+	return blockOp(parts, term, ci)
 }
 
-// blockOp drives the block's parts under one closure, applying the
-// block's aggregate pure-instruction profile delta once. The dominant
-// shape — one pure run feeding one effectful/control instruction — is
-// specialized.
-func blockOp(parts []bpart, total pureDelta) cop {
-	if len(parts) == 2 && parts[0].eff == nil && parts[1].eff != nil {
+// bterm is a block's closing jump, run inside the block closure
+// instead of through a closure call of its own (op is ir.Nop when the
+// block does not end in a jump). end is the fallthrough pc.
+type bterm struct {
+	op     ir.Op
+	b      int
+	target int
+	end    int
+}
+
+// jump performs the closing jump once the block's bookkeeping has
+// counted it.
+func (t *bterm) jump(st *wiState) {
+	switch t.op {
+	case ir.Jmp:
+		st.pc = t.target
+	case ir.JmpIf:
+		if st.ii[t.b] != 0 {
+			st.pc = t.target
+		} else {
+			st.pc = t.end
+		}
+	case ir.JmpIfZ:
+		if st.ii[t.b] == 0 {
+			st.pc = t.target
+		} else {
+			st.pc = t.end
+		}
+	}
+}
+
+// blockOp drives the block's parts under one closure, counting one
+// execution of the block (its aggregate pure profile delta) in counter
+// ci. The dominant shapes — one pure run closing with a jump, and one
+// pure run feeding one effectful/control instruction — are
+// specialized. A closing jump is always counted: it is never the
+// block's first instruction, and every part before it leaves all
+// earlier instructions accounted.
+func blockOp(parts []bpart, term bterm, ci int) cop {
+	if len(parts) == 1 && parts[0].eff == nil && term.op != ir.Nop {
+		run := parts[0].run
+		k := uint64(parts[0].ki) + 1
+		b, target, end := term.b, term.target, term.end
+		switch term.op {
+		case ir.Jmp:
+			return func(r *groupRunner, st *wiState) error {
+				r.counts[ci]++
+				if err := runPure(r, st, run); err != nil {
+					return err
+				}
+				r.steps += k
+				if r.steps > r.limit {
+					return ErrStepLimit
+				}
+				r.prof.Instrs += k
+				st.pc = target
+				return nil
+			}
+		case ir.JmpIf:
+			return func(r *groupRunner, st *wiState) error {
+				r.counts[ci]++
+				if err := runPure(r, st, run); err != nil {
+					return err
+				}
+				r.steps += k
+				if r.steps > r.limit {
+					return ErrStepLimit
+				}
+				r.prof.Instrs += k
+				if st.ii[b] != 0 {
+					st.pc = target
+				} else {
+					st.pc = end
+				}
+				return nil
+			}
+		default:
+			return func(r *groupRunner, st *wiState) error {
+				r.counts[ci]++
+				if err := runPure(r, st, run); err != nil {
+					return err
+				}
+				r.steps += k
+				if r.steps > r.limit {
+					return ErrStepLimit
+				}
+				r.prof.Instrs += k
+				if st.ii[b] == 0 {
+					st.pc = target
+				} else {
+					st.pc = end
+				}
+				return nil
+			}
+		}
+	}
+	if len(parts) == 2 && parts[0].eff == nil && parts[1].eff != nil && term.op == ir.Nop {
 		run, ki := parts[0].run, parts[0].ki
 		k := uint64(ki)
 		eff := parts[1].eff
 		return func(r *groupRunner, st *wiState) error {
-			total.add(r.prof)
+			r.counts[ci]++
 			if err := runPure(r, st, run); err != nil {
 				return err
 			}
@@ -409,7 +569,7 @@ func blockOp(parts []bpart, total pureDelta) cop {
 		}
 	}
 	return func(r *groupRunner, st *wiState) error {
-		total.add(r.prof)
+		r.counts[ci]++
 		for i := range parts {
 			p := &parts[i]
 			if p.eff == nil {
@@ -429,6 +589,12 @@ func blockOp(parts []bpart, total pureDelta) cop {
 			if err := p.eff(r, st); err != nil {
 				return err
 			}
+		}
+		if term.op != ir.Nop {
+			if !r.countEff(st) {
+				return ErrStepLimit
+			}
+			term.jump(st)
 		}
 		return nil
 	}
@@ -508,19 +674,6 @@ func fusePair(m, a *pIns) (pIns, bool) {
 		}
 	}
 	return f, true
-}
-
-// standaloneOp wraps a pure instruction for slots dispatched on their
-// own (single-instruction blocks, and the landing-pad slots inside
-// blocks): it applies the instruction's profile delta and runs the
-// body; the dispatch loop supplies the step and instruction-count
-// bookkeeping.
-func standaloneOp(p pIns, d pureDelta) cop {
-	ps := []pIns{p}
-	return func(r *groupRunner, st *wiState) error {
-		d.add(r.prof)
-		return runPure(r, st, ps)
-	}
 }
 
 // syncEff settles the deferred in-block bookkeeping before an inline
@@ -943,8 +1096,8 @@ func (r *groupRunner) runCompiled(c *Compiled, st *wiState, stopAtBarrier bool) 
 
 // groupArena pools the per-group allocations of the compiled engine:
 // the __local arena, the register files (reused across work-items in
-// place of per-item allocation) and the resident work-item states of
-// the barrier path.
+// place of per-item allocation), the resident work-item states of the
+// barrier path and the block execution counters.
 type groupArena struct {
 	ii     []int64
 	ff     []float64
@@ -952,6 +1105,7 @@ type groupArena struct {
 	local  []byte
 	states []wiState
 	coords [][3]int
+	counts []uint64
 }
 
 var groupArenas = sync.Pool{New: func() any { return new(groupArena) }}
@@ -966,31 +1120,58 @@ func grown[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// runGroupCompiled is the compiled engine's work-group loop,
-// structurally identical to the interpreter paths in RunGroup but
-// dispatching on the closure program and drawing its state from the
-// pooled group arena.
+// reset prepares a work-item state for a fresh run: zeroed registers
+// and private memory, the constant slots filled.
+func (c *Compiled) reset(st *wiState) {
+	st.pc = 0
+	st.done = false
+	st.atBar = false
+	copy(st.ii, c.initI)
+	copy(st.ff, c.initF)
+	clear(st.priv)
+}
+
+// runGroupCompiled is the compiled engine's work-group loop: it runs
+// the work-items and then folds the block execution counters into the
+// profile.
 func (r *groupRunner) runGroupCompiled(localBytes, nloc int) error {
 	c := compiledFor(r.k)
 	ar := groupArenas.Get().(*groupArena)
 	defer groupArenas.Put(ar)
+	ar.counts = grown(ar.counts, len(c.deltas))
+	clear(ar.counts)
+	r.counts = ar.counts
+	err := r.runItemsCompiled(c, ar, localBytes, nloc)
+	for i, n := range r.counts {
+		if n != 0 {
+			c.deltas[i].addN(r.prof, n)
+		}
+	}
+	return err
+}
+
+// runItemsCompiled is structurally identical to the interpreter paths
+// in RunGroup but dispatches on the closure program and draws its
+// state from the pooled group arena.
+func (r *groupRunner) runItemsCompiled(c *Compiled, ar *groupArena, localBytes, nloc int) error {
 	ar.local = grown(ar.local, localBytes)
 	clear(ar.local)
 	r.local = ar.local
 	cfg := r.cfg
 	k := r.k
+	nI, nF := len(c.initI), len(c.initF)
 
 	if !k.UsesBarrier {
 		// Fast path: one register file, reset and reused per work-item.
-		ar.ii = grown(ar.ii, k.NumI)
-		ar.ff = grown(ar.ff, k.NumF)
+		ar.ii = grown(ar.ii, nI)
+		ar.ff = grown(ar.ff, nF)
 		ar.priv = grown(ar.priv, k.PrivateBytes)
 		st := wiState{ii: ar.ii, ff: ar.ff, priv: ar.priv}
 		item := 0
 		for lz := 0; lz < max(cfg.LocalSize[2], 1); lz++ {
 			for ly := 0; ly < max(cfg.LocalSize[1], 1); ly++ {
 				for lx := 0; lx < cfg.LocalSize[0]; lx++ {
-					r.resetState(&st)
+					c.reset(&st)
 					r.localID = [3]int{lx, ly, lz}
 					r.cur = &st
 					r.item = item
@@ -1007,12 +1188,9 @@ func (r *groupRunner) runGroupCompiled(localBytes, nloc int) error {
 	// Barrier path: every work-item's registers live in one flat
 	// per-group arena, sliced per item, instead of nloc separate
 	// allocations.
-	ar.ii = grown(ar.ii, k.NumI*nloc)
-	clear(ar.ii)
-	ar.ff = grown(ar.ff, k.NumF*nloc)
-	clear(ar.ff)
+	ar.ii = grown(ar.ii, nI*nloc)
+	ar.ff = grown(ar.ff, nF*nloc)
 	ar.priv = grown(ar.priv, k.PrivateBytes*nloc)
-	clear(ar.priv)
 	ar.states = grown(ar.states, nloc)
 	ar.coords = grown(ar.coords, nloc)
 	states, coords := ar.states, ar.coords
@@ -1021,10 +1199,11 @@ func (r *groupRunner) runGroupCompiled(localBytes, nloc int) error {
 		for ly := 0; ly < max(cfg.LocalSize[1], 1); ly++ {
 			for lx := 0; lx < cfg.LocalSize[0]; lx++ {
 				states[i] = wiState{
-					ii:   ar.ii[i*k.NumI : (i+1)*k.NumI],
-					ff:   ar.ff[i*k.NumF : (i+1)*k.NumF],
+					ii:   ar.ii[i*nI : (i+1)*nI],
+					ff:   ar.ff[i*nF : (i+1)*nF],
 					priv: ar.priv[i*k.PrivateBytes : (i+1)*k.PrivateBytes],
 				}
+				c.reset(&states[i])
 				coords[i] = [3]int{lx, ly, lz}
 				i++
 			}

@@ -97,3 +97,21 @@ func BenchmarkEngine(b *testing.B) {
 		})
 	}
 }
+
+var compiledSink *vm.Compiled
+
+// BenchmarkCompileKernel times CompileKernel — pre-decode, the tier-2
+// liveness and run rewriting, block closures — over every kernel of
+// the nine benchmarks at both precisions. serve-cold pays it once per
+// request, on first execution of each kernel. Reports ns/kernel.
+func BenchmarkCompileKernel(b *testing.B) {
+	ks := benchKernels(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, k := range ks {
+			compiledSink = vm.CompileKernel(k)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ks)), "ns/kernel")
+}

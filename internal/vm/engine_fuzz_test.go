@@ -19,8 +19,51 @@ import (
 // data-dependent loop so the lock-step phase protocol is exercised
 // against the serial one). Shapes 1 and 2 are the mandatory seeds of
 // the SIMT bug-class hunt: masked-lane side effects and barrier
-// reconvergence bugs only show up under divergence.
+// reconvergence bugs only show up under divergence. Seeds whose top
+// nibble is 0xA pick one of two shapes aimed at the compiled engine's
+// tier-2 lowering instead: loop-carried copies, a register read before
+// any write on some lanes, immediates reused across blocks, vector ops
+// reading coalesced registers, and values carried across barriers.
 func fuzzKernelSource(seed uint64, expr string) string {
+	if seed>>60 == 0xA {
+		if (seed>>1)%2 == 0 {
+			return fmt.Sprintf(`__kernel void f(__global int* out, __global const int* in,
+			                                 const int a, const int b, const int idx) {
+				int gid = get_global_id(0);
+				int c = in[(gid + idx) & 3];
+				int u;
+				if ((gid ^ idx) & 1) { u = c * 7 + a; }
+				int p = a, q = b + 7;
+				for (int i = 0; i < (idx & 511); i++) {
+					int t = p;
+					p = q + i * 7;
+					q = t ^ (c + 7);
+				}
+				int4 v = (int4)(p, q, u, gid);
+				int4 w = v * (int4)(7) + (int4)(p + q);
+				out[gid] = (%s) + u + w.x + w.y + w.z + w.w;
+			}`, expr)
+		}
+		return fmt.Sprintf(`__kernel void f(__global int* out, __global const int* in,
+		                                 const int a, const int b, const int idx) {
+			__local int tile[4];
+			int gid = get_global_id(0);
+			int lid = get_local_id(0);
+			int c = in[(gid + idx) & 3];
+			int keep = c * 5 + a;
+			int s;
+			if (lid & 1) { s = b; }
+			for (int i = 0; i < ((idx & 15) + 1); i++) {
+				tile[lid] = keep + i;
+				barrier(CLK_LOCAL_MEM_FENCE);
+				int t = s;
+				s = keep + tile[(lid + 1) & 3] * 5;
+				keep = t ^ c;
+				barrier(CLK_LOCAL_MEM_FENCE);
+			}
+			out[gid] = (%s) + s + keep;
+		}`, expr)
+	}
 	switch (seed >> 1) % 3 {
 	case 1: // divergent control: branches + early loop exit keyed on gid
 		return fmt.Sprintf(`__kernel void f(__global int* out, __global const int* in,
@@ -120,6 +163,14 @@ func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(uint64(5), int32(11), int32(-4), int32(15))     // barrier-in-loop, max phases
 	f.Add(uint64(5), int32(0), int32(0), int32(0))        // barrier-in-loop, single phase
 	f.Add(uint64(11), int32(-1), int32(1), int32(0xFF04)) // barrier-in-loop into tmp[4] fault
+	// Tier-2 seeds (top nibble 0xA): loop-carried copies with a read
+	// before any write on even lanes, from no iterations to a loop that
+	// trips ErrStepLimit mid-run; then values carried across barriers.
+	f.Add(uint64(0xA000000000000001), int32(3), int32(-8), int32(0))  // no loop: u read unwritten
+	f.Add(uint64(0xA000000000000001), int32(-5), int32(9), int32(37)) // loop-carried copies
+	f.Add(uint64(0xA000000000000101), int32(1), int32(2), int32(511)) // ErrStepLimit mid-run
+	f.Add(uint64(0xA000000000000003), int32(4), int32(-1), int32(15)) // live across barriers
+	f.Add(uint64(0xA000000000000103), int32(0), int32(0), int32(0))   // one phase, s read unwritten
 
 	f.Fuzz(func(t *testing.T, seed uint64, a, b, idx int32) {
 		g := &exprGen{seed: seed | 1}

@@ -201,24 +201,9 @@ func CompileLanes(k *ir.Kernel) *LaneCompiled {
 		}
 	}
 
-	// Block boundaries: identical to CompileKernel so the two engines
-	// agree on what a dispatch point is.
-	isStart := make([]bool, n+1)
-	isStart[n] = true
-	if n > 0 {
-		isStart[0] = true
-	}
-	for i := range code {
-		switch code[i].Op {
-		case ir.Jmp, ir.JmpIf, ir.JmpIfZ:
-			if t := code[i].Imm; t >= 0 && t <= int64(n) {
-				isStart[t] = true
-			}
-			isStart[i+1] = true
-		case ir.Ret, ir.BarrierOp:
-			isStart[i+1] = true
-		}
-	}
+	// Block boundaries: the compiled engine's, so the two engines agree
+	// on what a dispatch point is.
+	isStart := blockStarts(code)
 
 	c.blockAt = make([]int32, n+1)
 	for i := range c.blockAt {

@@ -46,11 +46,11 @@ func (o *streamObserver) OnContext(item, phase, line int) {
 
 func (o *streamObserver) ContextActive() bool { return true }
 
-// runLanesVsInterp executes the same work-group under the interpreter
-// and the lane engine with full stream observation and requires every
-// observable to match: memory, profile, error, and the ordered
-// callback stream.
-func runLanesVsInterp(t *testing.T, src, kernel string, local int, args func(*flatMem) []vm.ArgValue, stepLimit uint64) {
+// runEnginesVsInterp executes the same work-group under the
+// interpreter and under each fast engine (compiled, lanes) with full
+// stream observation and requires every observable to match: memory,
+// profile, error, and the ordered callback stream.
+func runEnginesVsInterp(t *testing.T, src, kernel string, local int, args func(*flatMem) []vm.ArgValue, stepLimit uint64) {
 	t.Helper()
 	prog := mustCompile(t, src, "")
 	run := func(eng vm.Engine) ([]byte, vm.Profile, []streamEvent, error) {
@@ -72,27 +72,28 @@ func runLanesVsInterp(t *testing.T, src, kernel string, local int, args func(*fl
 		return mem.global, prof, obs.events, err
 	}
 	refMem, refProf, refEvents, refErr := run(vm.EngineInterp)
-	gotMem, gotProf, gotEvents, gotErr := run(vm.EngineLanes)
-
-	if (refErr == nil) != (gotErr == nil) || (refErr != nil && refErr.Error() != gotErr.Error()) {
-		t.Fatalf("errors differ:\n interp: %v\n lanes:  %v", refErr, gotErr)
-	}
-	if len(refEvents) != len(gotEvents) {
-		t.Fatalf("observer stream length differs: interp %d, lanes %d", len(refEvents), len(gotEvents))
-	}
-	for i := range refEvents {
-		if refEvents[i] != gotEvents[i] {
-			t.Fatalf("observer stream diverges at event %d:\n interp: %+v\n lanes:  %+v", i, refEvents[i], gotEvents[i])
+	for _, eng := range []vm.Engine{vm.EngineCompiled, vm.EngineLanes} {
+		gotMem, gotProf, gotEvents, gotErr := run(eng)
+		if (refErr == nil) != (gotErr == nil) || (refErr != nil && refErr.Error() != gotErr.Error()) {
+			t.Fatalf("errors differ:\n interp: %v\n %v: %v", refErr, eng, gotErr)
 		}
-	}
-	if refErr != nil {
-		return // callers discard memory and profile on failure
-	}
-	if !bytes.Equal(refMem, gotMem) {
-		t.Fatalf("memory differs:\n interp: %v\n lanes:  %v", refMem, gotMem)
-	}
-	if !reflect.DeepEqual(refProf, gotProf) {
-		t.Fatalf("profiles differ:\n interp: %+v\n lanes:  %+v", refProf, gotProf)
+		if len(refEvents) != len(gotEvents) {
+			t.Fatalf("observer stream length differs: interp %d, %v %d", len(refEvents), eng, len(gotEvents))
+		}
+		for i := range refEvents {
+			if refEvents[i] != gotEvents[i] {
+				t.Fatalf("observer stream diverges at event %d:\n interp: %+v\n %v: %+v", i, refEvents[i], eng, gotEvents[i])
+			}
+		}
+		if refErr != nil {
+			continue // callers discard memory and profile on failure
+		}
+		if !bytes.Equal(refMem, gotMem) {
+			t.Fatalf("memory differs:\n interp: %v\n %v: %v", refMem, eng, gotMem)
+		}
+		if !reflect.DeepEqual(refProf, gotProf) {
+			t.Fatalf("profiles differ:\n interp: %+v\n %v: %+v", refProf, eng, gotProf)
+		}
 	}
 }
 
@@ -129,7 +130,7 @@ __kernel void masked_loop(__global int* out) {
 	for _, k := range []string{"masked", "masked_loop"} {
 		k := k
 		t.Run(k, func(t *testing.T) {
-			runLanesVsInterp(t, src, k, 16, args, 0)
+			runEnginesVsInterp(t, src, k, 16, args, 0)
 		})
 	}
 }
@@ -203,7 +204,7 @@ __kernel void diverge(__global int* out, const int n) {
 	out[gid] = v + 7;
 }
 `
-	runLanesVsInterp(t, src, "diverge", 16, func(m *flatMem) []vm.ArgValue {
+	runEnginesVsInterp(t, src, "diverge", 16, func(m *flatMem) []vm.ArgValue {
 		return []vm.ArgValue{{Bits: ir.EncodeAddr(ir.SpaceGlobal, 0)}, {Bits: 3}}
 	}, 0)
 }
@@ -227,7 +228,7 @@ __kernel void phases(__global int* out, __local int* tile) {
 `
 	// 20 work-items: one full batch plus a partial tail batch, so the
 	// cross-batch barrier protocol is exercised too.
-	runLanesVsInterp(t, src, "phases", 20, func(m *flatMem) []vm.ArgValue {
+	runEnginesVsInterp(t, src, "phases", 20, func(m *flatMem) []vm.ArgValue {
 		return []vm.ArgValue{
 			{Bits: ir.EncodeAddr(ir.SpaceGlobal, 0)},
 			{LocalSize: 32 * 4},
@@ -299,7 +300,7 @@ __kernel void work(__global int* out) {
 	for _, limit := range []uint64{1, 2, 3, total / 4, total / 2, total - 1, total, total + 1} {
 		limit := limit
 		t.Run("", func(t *testing.T) {
-			runLanesVsInterp(t, src, "work", 8, args, limit)
+			runEnginesVsInterp(t, src, "work", 8, args, limit)
 		})
 	}
 }
@@ -321,7 +322,7 @@ __kernel void oob(__global int* out, const int bad) {
 	for _, bad := range []int64{0, 3, 7, 15} {
 		bad := bad
 		t.Run("", func(t *testing.T) {
-			runLanesVsInterp(t, src, "oob", 16, func(m *flatMem) []vm.ArgValue {
+			runEnginesVsInterp(t, src, "oob", 16, func(m *flatMem) []vm.ArgValue {
 				return []vm.ArgValue{{Bits: ir.EncodeAddr(ir.SpaceGlobal, 0)}, {Bits: bad}}
 			}, 0)
 		})
@@ -343,7 +344,7 @@ __kernel void count(__global int* hist, __global const int* in) {
 	if lc := vm.CompileLanes(prog.Kernel("count")); !lc.HasAtomics() {
 		t.Fatal("lane compiler should flag the atomic kernel")
 	}
-	runLanesVsInterp(t, src, "count", 16, func(m *flatMem) []vm.ArgValue {
+	runEnginesVsInterp(t, src, "count", 16, func(m *flatMem) []vm.ArgValue {
 		for i := 0; i < 16; i++ {
 			m.putI32(64+4*i, int32(i*7))
 		}
@@ -395,7 +396,7 @@ __kernel void vec(__global float4* out, __global const float4* in) {
 	out[gid] = v * v + (float4)(1.0f, 2.0f, 3.0f, 4.0f);
 }
 `
-	runLanesVsInterp(t, src, "vec", 16, func(m *flatMem) []vm.ArgValue {
+	runEnginesVsInterp(t, src, "vec", 16, func(m *flatMem) []vm.ArgValue {
 		for i := 0; i < 64; i++ {
 			m.putF32(1024+4*i, float32(i)*0.5)
 		}
@@ -417,7 +418,7 @@ __kernel void transc(__global float* out, __global const float* in) {
 	out[gid] = sqrt(x) + exp(x * 0.01f) * sin(x);
 }
 `
-	runLanesVsInterp(t, src, "transc", 16, func(m *flatMem) []vm.ArgValue {
+	runEnginesVsInterp(t, src, "transc", 16, func(m *flatMem) []vm.ArgValue {
 		for i := 0; i < 16; i++ {
 			m.putF32(256+4*i, float32(i)+0.25)
 		}
@@ -441,7 +442,7 @@ __kernel void tail(__global int* out) {
 	for _, local := range []int{1, 3, 15, 16, 17, 33} {
 		local := local
 		t.Run("", func(t *testing.T) {
-			runLanesVsInterp(t, src, "tail", local, func(m *flatMem) []vm.ArgValue {
+			runEnginesVsInterp(t, src, "tail", local, func(m *flatMem) []vm.ArgValue {
 				return []vm.ArgValue{{Bits: ir.EncodeAddr(ir.SpaceGlobal, 0)}}
 			}, 0)
 		})

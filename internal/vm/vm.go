@@ -257,6 +257,9 @@ type groupRunner struct {
 	ctxObs ContextObserver
 	item   int
 	phase  int
+	// counts holds the compiled engine's block execution counters for
+	// the current group (see runGroupCompiled).
+	counts []uint64
 }
 
 // RunGroup executes a single work-group to completion, accumulating
